@@ -52,7 +52,7 @@
 //!     `GET /metrics`) are answered from an immutable snapshot;
 //!     `POST /documents` is fsync'd to a write-ahead log, then ingested
 //!     through the incremental (DRed) grounding path, refreshed with a
-//!     bounded Gibbs pass, and atomically published as the next snapshot
+//!     fixed-budget Gibbs pass, and atomically published as the next snapshot
 //!     epoch. Readers never see a half-applied update. On restart the WAL
 //!     is replayed (`/readyz` answers 503 until the replayed epoch is
 //!     live); SIGTERM/SIGINT drains in-flight requests, flushes a final
@@ -88,8 +88,9 @@
 //!                            that falls further behind is shed with a
 //!                            `lagged` frame and re-based, never blocking
 //!                            ingest (default 1 MiB)
-//!     plus `run`'s inference options (`--samples`, `--seed`, `--threads`,
-//!     ...), which size the marginal refresh after each ingest.
+//!     plus `run`'s inference options; the seed, `--threads` and evidence
+//!     clamping carry into every served refresh, which always collects
+//!     200 samples after 20 burn-in sweeps.
 //!
 //!   replication:
 //!     --follow <url>         run as a read-only replica of the primary at
@@ -150,7 +151,6 @@ use deepdive_core::{
     render_calibration, Checkpoint, CheckpointError, DeepDive, DeepDiveError, RunConfig, RunReport,
 };
 use deepdive_ddlog::compile;
-use deepdive_inference::RefreshBudget;
 use deepdive_sampler::{GibbsOptions, LearnOptions};
 use deepdive_serve::{ServeConfig, Server};
 use deepdive_storage::{row_to_tsv, FailurePolicy, IngestPolicy, StorageError};
@@ -766,7 +766,6 @@ fn serve_inner(args: &RunArgs) -> Result<(), RunFailure> {
         addr: args.addr.clone(),
         workers: args.workers,
         page_limit: args.page_limit,
-        refresh: RefreshBudget::default(),
         wal_dir,
         checkpoint_dir: Some(dir),
         linger: Duration::from_millis(args.linger_ms),

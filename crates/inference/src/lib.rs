@@ -18,10 +18,8 @@
 
 pub mod meanfield;
 pub mod optimizer;
-pub mod refresh;
 pub mod sampling_mat;
 
 pub use meanfield::{MeanField, MeanFieldOptions};
 pub use optimizer::{choose, OptimizerRules, Strategy, WorkloadStats};
-pub use refresh::{bounded_options, refresh_marginals, RefreshBudget};
 pub use sampling_mat::{SamplingMatOptions, SamplingMaterialization};

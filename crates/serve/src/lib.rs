@@ -5,14 +5,15 @@
 //! daemon then answers relation and marginal queries from an immutable
 //! [`ServeSnapshot`] and accepts new documents through the same DRed/IVM
 //! path the batch pipeline uses, re-grounding only the touched region and
-//! refreshing marginals with a bounded Gibbs pass before atomically
-//! publishing the next epoch.
+//! refreshing marginals with a fixed-budget Gibbs pass before atomically
+//! publishing the next epoch. Client ingests, replicated records and WAL
+//! replay share that one write path (`ServeState::apply_batch`).
 //!
 //! Crash + overload posture:
 //!
 //! * every acknowledged `POST /documents` is fsync'd to a write-ahead log
 //!   ([`wal`]) before it is applied — on restart the daemon restores the
-//!   checkpoint and replays the WAL through the same ingest path;
+//!   checkpoint and replays the WAL through the same write path;
 //! * admission is bounded (`503 + Retry-After` beyond `max_inflight`),
 //!   ingest is rate-limited (429), and slow or stalled peers are cut by
 //!   socket timeouts plus a per-request deadline (408);
@@ -21,7 +22,7 @@
 //!   (distinct from `/healthz`) answers 503 during WAL replay and drain;
 //! * a node started with `--follow <primary-url>` ([`replication`]) tails
 //!   the primary's WAL over `GET /wal`, persists its own copy, applies
-//!   each record through DRed/IVM, and serves reads at bounded epoch lag
+//!   it through the same write path, and serves reads at bounded epoch lag
 //!   while rejecting writes (405).
 //!
 //! Endpoints:

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 /// Histogram bucket upper bounds, in microseconds (the last bucket is
 /// `+Inf`). Chosen around the expected shape: reads are sub-millisecond,
-/// ingests pay a bounded Gibbs refresh.
+/// ingests pay a fixed-budget Gibbs refresh.
 const BUCKET_BOUNDS_MICROS: [u64; 6] = [1_000, 5_000, 25_000, 100_000, 500_000, 2_500_000];
 const NUM_BUCKETS: usize = BUCKET_BOUNDS_MICROS.len() + 1;
 

@@ -1,6 +1,7 @@
 //! WAL-shipping replication: a primary streams its write-ahead log over
 //! `GET /wal`; a follower tails it, persists every record to its own WAL,
-//! and replays each through the same DRed/IVM path a live ingest takes.
+//! and applies each decoded chunk as one batch through the same write path
+//! a live ingest takes (`ServeState::apply_batch`).
 //!
 //! The protocol is deliberately minimal, built on the crate's hand-rolled
 //! HTTP/1.1 stack (no new dependencies):
@@ -25,9 +26,9 @@
 //!   with [`crate::wal::frame::FrameDecoder`], which re-verifies every
 //!   checksum on arrival.
 //! * **Resume.** Any cut — mid-chunk, mid-frame, mid-byte — is survivable:
-//!   the follower appends a record to its own WAL (fsync) *before*
-//!   applying it, so its `next_seq` is always the exact durable resume
-//!   point. Reconnects back off exponentially with jitter.
+//!   the follower appends each decoded chunk to its own WAL (one fsync)
+//!   *before* applying it, so its `next_seq` is always the exact durable
+//!   resume point. Reconnects back off exponentially with jitter.
 //! * **Divergence is fatal, lag is not.** A 409 (or a record that fails to
 //!   apply locally) marks the follower diverged: it keeps serving reads
 //!   but fails `/readyz` and the CLI exits with a dedicated code. Lag
@@ -35,7 +36,7 @@
 //!   catches back up.
 
 use crate::http::Response;
-use crate::server::{Lifecycle, ServeState};
+use crate::server::{Lifecycle, Origin, Outcome, ServeState};
 use crate::wal::frame::{self, FrameDecoder, FrameError};
 use deepdive_core::checkpoint::fnv1a64;
 use deepdive_core::faults::points;
@@ -614,9 +615,7 @@ fn tail_once(state: &ServeState, primary: &str) -> Result<(), TailError> {
                 stats.observe_watermark(fetched);
                 // The records before the bad frame passed their checksums;
                 // apply them so the reconnect resumes past them.
-                for payload in &batch {
-                    apply_one(state, payload)?;
-                }
+                apply_chunk(state, &batch)?;
                 if let Some(failure) = failure {
                     return Err(failure);
                 }
@@ -626,23 +625,43 @@ fn tail_once(state: &ServeState, primary: &str) -> Result<(), TailError> {
     }
 }
 
-/// Durably append one replicated record, then apply it. Apply failures are
-/// divergence (the primary applied this record; a follower that cannot is
-/// no longer a replica); append failures are local-disk transients.
-fn apply_one(state: &ServeState, payload: &[u8]) -> Result<(), TailError> {
-    if state.faults_ref().trips(points::REPL_APPLY_STALL) {
-        std::thread::sleep(Duration::from_millis(50));
+/// Durably append one decoded chunk of replicated records as one batch,
+/// then apply it. A record that fails validation or apply is divergence
+/// (the primary applied it; a follower that cannot is no longer a replica);
+/// a failed append is a local-disk transient.
+fn apply_chunk(state: &ServeState, records: &[Vec<u8>]) -> Result<(), TailError> {
+    if records.is_empty() {
+        return Ok(());
     }
-    match state.ingest_replicated(payload) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(TailError::Fatal(
-            true,
-            format!("replicated record failed to apply locally: {e}"),
-        )),
-        Err(e) => Err(transient(format!(
-            "could not persist replicated record: {e}"
-        ))),
+    for _ in records {
+        if state.faults_ref().trips(points::REPL_APPLY_STALL) {
+            std::thread::sleep(Duration::from_millis(50));
+        }
     }
+    let bodies: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+    for record in state.apply_batch(Origin::Replicated, &bodies).records {
+        match record {
+            Outcome::Applied { .. } => {}
+            Outcome::Invalid(resp) => {
+                return Err(TailError::Fatal(
+                    true,
+                    format!("replicated record failed validation: {}", resp.body),
+                ))
+            }
+            Outcome::Refused(e) => {
+                return Err(TailError::Fatal(
+                    true,
+                    format!("replicated record failed to apply locally: DRed/IVM refused: {e}"),
+                ))
+            }
+            Outcome::NotDurable(msg) => {
+                return Err(transient(format!(
+                    "could not persist replicated records: {msg}"
+                )))
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Parse an HTTP/1.1 response head: status line + headers (names

@@ -6,18 +6,20 @@
 //! * Readers (`GET /relations`, `/marginals`, `/healthz`, `/readyz`,
 //!   `/metrics`) touch only the snapshot cell and atomics — they never take
 //!   the writer lock, so queries stay fast while an ingest is re-grounding.
-//! * `POST /documents` serializes through `Mutex<DeepDive>`: append the
-//!   validated body to the write-ahead log (fsync'd — the ack promises
-//!   durability), route the new rows through incremental view maintenance
-//!   and DRed (§4.1) so only the touched region re-grounds, run a bounded
-//!   Gibbs refresh sized to the grounding delta (§4.2), then publish the
-//!   next epoch with one pointer swap. A concurrent reader sees epoch N or
-//!   N+1, never a mixture.
+//! * There is one write path, [`ServeState::apply_batch`], under
+//!   `Mutex<DeepDive>`. Client ingests (batched by the committer thread),
+//!   records shipped from a primary, and records replayed from the local
+//!   WAL all go through it: validate, append to the write-ahead log
+//!   (fsync'd — the ack promises durability), route the new rows through
+//!   incremental view maintenance and DRed (§4.1) so only the touched
+//!   region re-grounds, then publish the next epoch with one pointer swap
+//!   after a fixed-budget Gibbs refresh (§4.2). A concurrent reader sees
+//!   epoch N or N+1, never a mixture.
 //!
 //! Robustness posture (crash + overload):
 //!
 //! * **Durability.** Startup restores the checkpoint, then replays the WAL
-//!   through the same ingest path; `/readyz` reports 503 until the replayed
+//!   through the same write path; `/readyz` reports 503 until the replayed
 //!   epoch swaps in. A successful checkpoint flush (startup replay or
 //!   graceful drain) truncates the WAL.
 //! * **Admission control.** At most `max_inflight` connections are queued
@@ -32,14 +34,14 @@
 //!   (the chaos tests' in-process `kill -9`).
 //! * **Replication.** A primary streams its WAL over `GET /wal`; a node
 //!   started with [`ServeConfig::follow`] tails that stream, persists each
-//!   record to its own WAL, applies it through the same DRed/IVM path, and
+//!   record to its own WAL, applies it through the same write path, and
 //!   serves reads at observable epoch lag while answering `POST /documents`
 //!   with 405. See [`crate::replication`] for the protocol.
 
 use crate::http::{ParseError, ParseLimits, Request, Response};
 use crate::metrics::ServeMetrics;
 use crate::replication::{self, jittered_retry_secs, ReplicationStats};
-use crate::snapshot::{ServeSnapshot, SnapshotCell};
+use crate::snapshot::{serving_options, ServeSnapshot, SnapshotCell, REFRESH_SAMPLES};
 use crate::subscriptions::{
     render_snapshot_frame, value_to_json, EpochDelta, IvmTrace, RowFilter, Subscriber,
     SubscriptionRegistry, SubscriptionSpec, RESERVED_QUERY_KEYS,
@@ -47,8 +49,7 @@ use crate::subscriptions::{
 use crate::wal::{Wal, WalOptions, WalRecovery, DEFAULT_RETAIN_RECORDS, DEFAULT_SEGMENT_BYTES};
 use deepdive_core::faults::{is_durable_storage_error, points, FaultInjector};
 use deepdive_core::{Checkpoint, CheckpointTracker, DeepDive};
-use deepdive_inference::{bounded_options, RefreshBudget};
-use deepdive_sampler::GibbsOptions;
+use deepdive_grounding::GroundingDelta;
 use deepdive_storage::{
     value_from_tsv, BaseChange, ExecutionContext, MemoryBudget, Row, Schema, Value as DbValue,
     ValueType,
@@ -74,8 +75,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Default (and maximum) rows per page on list endpoints.
     pub page_limit: usize,
-    /// Gibbs budget for post-ingest refreshes.
-    pub refresh: RefreshBudget,
     /// Where the ingest write-ahead log lives. `None` disables durability:
     /// ingests are acknowledged from memory only (the pre-WAL behavior,
     /// still right for exploratory serving over a scratch checkpoint).
@@ -117,9 +116,8 @@ pub struct ServeConfig {
     pub wal_retain: u64,
     /// Group-commit linger window: how long the committer thread collects
     /// concurrent `POST /documents` bodies before fsyncing them as one WAL
-    /// batch. `Duration::ZERO` disables group commit entirely (every
-    /// request pays its own fsync — the pre-batching behavior, and the
-    /// bench baseline).
+    /// batch. `Duration::ZERO` commits every request as a batch of one
+    /// (one fsync each — the bench baseline).
     pub linger: Duration,
     /// WAL segment rotation threshold: a segment that reaches this many
     /// payload bytes is sealed and a new one started. Compaction later
@@ -153,7 +151,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             page_limit: 100,
-            refresh: RefreshBudget::default(),
             wal_dir: None,
             checkpoint_dir: None,
             max_inflight: 64,
@@ -287,6 +284,43 @@ struct CommitRequest {
     reply: mpsc::Sender<Response>,
 }
 
+/// Where a batch handed to [`ServeState::apply_batch`] comes from. It
+/// decides only how the records reach the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Origin {
+    /// Client `POST /documents` bodies, batched by the committer. Invalid
+    /// bodies never touch the log, and a refused record is cut back off it.
+    Client,
+    /// Records shipped from the primary, logged verbatim before apply.
+    Replicated,
+    /// Records recovered from the local WAL: already durable.
+    Replay,
+}
+
+/// What became of one record handed to [`ServeState::apply_batch`].
+pub(crate) enum Outcome {
+    /// Applied: rows inserted and the grounding delta they caused.
+    Applied {
+        inserted: usize,
+        delta: GroundingDelta,
+    },
+    /// Failed validation; carries the 400 a client gets.
+    Invalid(Response),
+    /// DRed/IVM refused it.
+    Refused(String),
+    /// The WAL could not hold it, so it is not acknowledged (applied or
+    /// not); carries the 500 message.
+    NotDurable(String),
+}
+
+/// Per-record outcomes of one batch, in input order, plus the epoch and
+/// fingerprint served once the batch is done.
+pub(crate) struct BatchOutcome {
+    pub(crate) records: Vec<Outcome>,
+    pub(crate) epoch: u64,
+    pub(crate) fingerprint: u64,
+}
+
 /// Everything a request handler can reach, shared across workers.
 pub struct ServeState {
     snapshot: SnapshotCell,
@@ -298,10 +332,6 @@ pub struct ServeState {
     ctx: Arc<ExecutionContext>,
     /// Relations derived by rules — not ingestible.
     derived: HashSet<String>,
-    /// Full-quality inference options the run was configured with (the
-    /// refresh derives bounded options from these).
-    inference: GibbsOptions,
-    refresh: RefreshBudget,
     page_limit: usize,
     started: Instant,
     lifecycle: AtomicU8,
@@ -314,9 +344,8 @@ pub struct ServeState {
     wal_dir: Option<PathBuf>,
     checkpoint_dir: Option<PathBuf>,
     /// Group-commit ingress: workers send [`CommitRequest`]s here and park
-    /// on the reply. `None` until the committer thread spawns (and again
-    /// once shutdown tears it down — senders observing a closed channel
-    /// fall back to the inline single-request path).
+    /// on the reply. `None` until the committer thread spawns, and again
+    /// once shutdown tears it down (a POST then answers 503).
     committer: Mutex<Option<mpsc::Sender<CommitRequest>>>,
     /// Group-commit linger window (the committer's batching horizon).
     linger: Duration,
@@ -580,7 +609,7 @@ impl ServeState {
             let mut dd = self.writer.lock();
             dd.load_checkpoint(&ckpt).map_err(io::Error::other)?;
             *self.ckpt_tracker.lock() = CheckpointTracker::default();
-            self.publish_epoch(&dd, 1, &self.inference, IvmTrace::default());
+            self.publish_epoch(&dd, 1, IvmTrace::default());
             let new_term = term.max(self.term());
             if let Some(wal) = &self.wal {
                 wal.lock().reset_stream(stream_id, seq, new_term)?;
@@ -623,8 +652,9 @@ impl ServeState {
         &self.subs
     }
 
-    /// Capture and publish the next snapshot — the single epoch swap every
-    /// ingest path funnels through — and fan the exact delta out to live
+    /// Capture and publish the next snapshot — the single epoch swap the
+    /// write path and checkpoint resync funnel through, always at
+    /// [`serving_options`] — and fan the exact delta out to live
     /// subscribers. The diff against the outgoing snapshot is computed only
     /// while subscribers exist, and routing happens strictly *after* the
     /// swap: a consumer that re-bases on `snapshot.load()` is therefore
@@ -632,16 +662,10 @@ impl ServeState {
     ///
     /// Callers hold the writer lock, which orders concurrent publications
     /// (and thus frame epochs) totally. Returns `(epoch, fingerprint)`.
-    fn publish_epoch(
-        &self,
-        dd: &DeepDive,
-        advance: u64,
-        opts: &GibbsOptions,
-        trace: IvmTrace,
-    ) -> (u64, u64) {
+    fn publish_epoch(&self, dd: &DeepDive, advance: u64, trace: IvmTrace) -> (u64, u64) {
         let prev = self.snapshot.load();
         let epoch = prev.epoch + advance;
-        let snapshot = ServeSnapshot::capture(dd, epoch, opts);
+        let snapshot = ServeSnapshot::capture(dd, epoch, &serving_options(&dd.config.inference));
         let fingerprint = snapshot.fingerprint;
         let delta = self
             .subs
@@ -674,51 +698,160 @@ impl ServeState {
         self.max_lag_epochs
     }
 
-    /// Apply one record shipped from the primary: durably append it to the
-    /// local WAL (the resume offset moves only over fsync'd records), then
-    /// run it through the same validate → DRed/IVM → bounded-refresh →
-    /// snapshot-swap path a live `POST /documents` takes — which is what
-    /// makes a caught-up follower's marginals bit-identical to the
-    /// primary's. `InvalidData` means the record can never apply here
-    /// (divergence); other errors are local-disk transients.
+    /// The one write path. Client ingests, records shipped from a primary,
+    /// and records replayed from the local WAL all come through here:
+    /// validate every record, make the batch durable with one WAL append
+    /// (replayed records already are), apply each record on its own through
+    /// DRed/IVM, and publish one epoch advanced by the applied count.
+    /// Returns what became of each record, in input order; callers decide
+    /// only what a failure means to them.
     ///
-    /// Lock order: wal (append, released), then writer — the same order as
-    /// `post_documents` and `flush_checkpoint`, so the three can interleave
-    /// but never deadlock.
-    pub(crate) fn ingest_replicated(&self, payload: &[u8]) -> io::Result<()> {
-        let wal = self.wal.as_ref().expect("follower mode requires a WAL");
-        let seq = match wal.lock().append(payload) {
-            Ok(seq) => seq,
-            Err(e) => {
-                self.note_storage_error(&e, "replicated WAL append");
-                return Err(e);
-            }
-        };
+    /// Lock order: writer, then wal — the same order as `flush_checkpoint`,
+    /// so the two can interleave but never deadlock.
+    pub(crate) fn apply_batch(&self, origin: Origin, records: &[&[u8]]) -> BatchOutcome {
         let mut dd = self.writer.lock();
-        let changes = parse_ingest_body(&dd, &self.derived, payload).map_err(|resp| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("replicated record failed validation: {}", resp.body),
-            )
-        })?;
-        let (delta, result) = dd.apply_base_changes_traced(changes).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("DRed/IVM refused: {e}"))
-        })?;
+        let parsed: Vec<Result<Vec<BaseChange>, Response>> = records
+            .iter()
+            .map(|body| parse_ingest_body(&dd, &self.derived, body))
+            .collect();
+
+        // Durability first, one fsync for the whole batch. A failed append
+        // is a failed batch: nothing was applied yet. Client bodies that
+        // failed validation never touch the log; replicated records are
+        // logged verbatim, so the local log stays seq-aligned with the
+        // primary's whatever happens at apply.
+        let mut appended = None;
+        if let Some(wal) = self.wal.as_ref().filter(|_| origin != Origin::Replay) {
+            let logged: Vec<&[u8]> = records
+                .iter()
+                .zip(&parsed)
+                .filter(|(_, p)| origin == Origin::Replicated || p.is_ok())
+                .map(|(body, _)| *body)
+                .collect();
+            let mark = wal.lock().mark();
+            if let Err(e) = wal.lock().append_batch(&logged) {
+                self.note_storage_error(&e, "WAL batch append");
+                let msg = format!("ingest not applied: WAL append failed: {e}");
+                return self.unpublished(
+                    parsed
+                        .into_iter()
+                        .map(|p| match p {
+                            Ok(_) => Outcome::NotDurable(msg.clone()),
+                            Err(resp) => Outcome::Invalid(resp),
+                        })
+                        .collect(),
+                );
+            }
+            if origin == Origin::Client && !logged.is_empty() {
+                self.group_commit.batches.fetch_add(1, Ordering::Relaxed);
+                self.group_commit
+                    .records
+                    .fetch_add(logged.len() as u64, Ordering::Relaxed);
+            }
+            appended = Some((wal, mark));
+        }
+
+        // Apply each record on its own: one bad batch-mate must not fail
+        // its neighbors.
         let mut trace = IvmTrace::default();
-        trace.absorb(&result);
-        let opts = bounded_options(&self.inference, &self.refresh, delta.total());
-        self.publish_epoch(&dd, 1, &opts, trace);
+        let mut outcomes = Vec::with_capacity(records.len());
+        for changes in parsed {
+            outcomes.push(match changes {
+                Err(resp) => Outcome::Invalid(resp),
+                Ok(changes) => {
+                    let inserted = changes.len();
+                    match dd.apply_base_changes_traced(changes) {
+                        Ok((delta, result)) => {
+                            trace.absorb(&result);
+                            Outcome::Applied { inserted, delta }
+                        }
+                        Err(e) => Outcome::Refused(e.to_string()),
+                    }
+                }
+            });
+        }
+
+        let refused = outcomes.iter().any(|o| matches!(o, Outcome::Refused(_)));
+        if let Some((wal, mark)) = appended.filter(|_| origin == Origin::Client && refused) {
+            // A refused client record's 500 promises "no durable trace": cut
+            // the whole batch off the log and re-append only the applied
+            // records, so a restart can never replay a record whose client
+            // was told it failed. The writer lock is still held, so nothing
+            // appended after the batch.
+            let rewrite = {
+                let mut wal = wal.lock();
+                wal.rollback_to(&mark).and_then(|()| {
+                    let keep: Vec<&[u8]> = records
+                        .iter()
+                        .zip(&outcomes)
+                        .filter(|(_, o)| matches!(o, Outcome::Applied { .. }))
+                        .map(|(body, _)| *body)
+                        .collect();
+                    wal.append_batch(&keep).map(|_| ())
+                })
+            };
+            if let Err(re) = rewrite {
+                // The log no longer matches what was applied and is
+                // poisoned until the next checkpoint flush repairs it.
+                // Nobody gets an ack: the durability half of the promise is
+                // gone for the applied records too. (Their in-memory effects
+                // surface in a later epoch — see DESIGN §13.)
+                eprintln!(
+                    "deepdive serve: WARNING: could not roll failed ingests off the WAL \
+                     ({re}); log poisoned until the next checkpoint flush"
+                );
+                let msg = "ingest not applied: WAL rewrite failed after a batch-mate's apply \
+                           failure; log poisoned until the next checkpoint flush";
+                for o in &mut outcomes {
+                    if matches!(o, Outcome::Applied { .. }) {
+                        *o = Outcome::NotDurable(msg.into());
+                    }
+                }
+                return self.unpublished(outcomes);
+            }
+        }
+
+        // One refresh, one snapshot swap, one epoch per applied record
+        // (epoch stays in lockstep with the WAL seq). Subscribers see the
+        // whole batch as one delta set.
+        let applied = outcomes
+            .iter()
+            .filter(|o| matches!(o, Outcome::Applied { .. }))
+            .count() as u64;
+        let published = (applied > 0).then(|| self.publish_epoch(&dd, applied, trace));
         // Advance the applied offset while still holding the writer lock so
         // a concurrent checkpoint flush can never mark past what the
-        // checkpoint it just saved actually contains.
-        self.replication
-            .applied_seq
-            .store(seq + 1, Ordering::SeqCst);
-        self.replication.observe_watermark(seq + 1);
-        self.replication
-            .records_applied
-            .fetch_add(1, Ordering::SeqCst);
-        Ok(())
+        // checkpoint it just saved actually contains. Every record handed
+        // in is consumed (applied or failed): the served state covers the
+        // whole local log.
+        if let Some(wal) = &self.wal {
+            let next = wal.lock().next_seq();
+            self.replication.applied_seq.store(next, Ordering::SeqCst);
+            self.replication.observe_watermark(next);
+        }
+        if origin == Origin::Replicated {
+            self.replication
+                .records_applied
+                .fetch_add(applied, Ordering::SeqCst);
+        }
+        match published {
+            Some((epoch, fingerprint)) => BatchOutcome {
+                records: outcomes,
+                epoch,
+                fingerprint,
+            },
+            None => self.unpublished(outcomes),
+        }
+    }
+
+    /// A batch that published nothing: the served epoch is unchanged.
+    fn unpublished(&self, records: Vec<Outcome>) -> BatchOutcome {
+        let snap = self.snapshot.load();
+        BatchOutcome {
+            records,
+            epoch: snap.epoch,
+            fingerprint: snap.fingerprint,
+        }
     }
 
     /// Flush a checkpoint capturing every applied ingest, then mark the WAL
@@ -726,16 +859,15 @@ impl ServeState {
     /// now owned by the checkpoint (and retained only for followers still
     /// fetching them). Requires the writer lock to be free (callers must
     /// not hold it). The writer lock is held across both the save and the
-    /// mark (writer → wal, the same order `post_documents` takes) so no
+    /// mark (writer → wal, the same order `apply_batch` takes) so no
     /// ingest can append between them — an interleaved append would be
     /// applied and acked, then silently skipped by the mark without being
     /// in the checkpoint.
     ///
     /// On a primary every appended record is applied under the writer lock,
-    /// so the mark covers the whole log (`next_seq`). On a follower the
-    /// tailer may have fsync'd records it has not applied yet; those stay
-    /// pending — marking them would lose them if the follower crashed
-    /// before applying.
+    /// so the mark covers the whole log (`next_seq`). A follower marks only
+    /// through `applied_seq`: a record it holds but has not applied must
+    /// stay pending, or a crash before applying would lose it.
     ///
     /// The checkpoint directory also gets `wal_position.json` (stream id +
     /// seq + term), so copying the directory to seed a new follower carries
@@ -861,9 +993,9 @@ pub struct Server {
 impl Server {
     /// Materialize the initial snapshot from `dd`'s current state (normally
     /// restored from a checkpoint), open the write-ahead log (recovering
-    /// any records a crash left behind), and bind the listener. Marginals
-    /// are computed once, up front, with the run's full inference options —
-    /// serving never pays that cost again until an ingest.
+    /// any records a crash left behind), and bind the listener. The initial
+    /// marginals come from the same fixed-budget capture every later epoch
+    /// uses.
     ///
     /// If the WAL holds records, the daemon starts in `Replaying` state:
     /// it serves the pre-replay epoch, answers `/readyz` with 503, and
@@ -877,8 +1009,7 @@ impl Server {
                  what lets a crashed follower resume without re-fetching history",
             ));
         }
-        let inference = dd.config.inference.clone();
-        let snapshot = ServeSnapshot::capture(&dd, 0, &inference);
+        let snapshot = ServeSnapshot::capture(&dd, 0, &serving_options(&dd.config.inference));
         let derived = dd.grounder.engine().program().derived_relations();
         let budget = dd.db.memory_budget().clone();
         let ctx = dd.execution_context().clone();
@@ -987,8 +1118,6 @@ impl Server {
                 budget,
                 ctx,
                 derived,
-                inference,
-                refresh: config.refresh.clone(),
                 page_limit: config.page_limit.max(1),
                 started: Instant::now(),
                 lifecycle: AtomicU8::new(lifecycle.as_u8()),
@@ -1100,19 +1229,16 @@ impl Server {
             std::thread::spawn(move || replication::run_follower(state, primary))
         });
 
-        // Group committer: the single consumer that turns concurrent POSTs
-        // into one WAL fsync per linger window. Only a primary with a WAL
-        // and a nonzero linger gets one; otherwise `POST /documents` stays
-        // on the inline one-fsync-per-request path.
-        let committer = (!self.state.is_follower()
-            && self.state.wal.is_some()
-            && self.state.linger > Duration::ZERO)
-            .then(|| {
-                let (commit_tx, commit_rx) = mpsc::channel::<CommitRequest>();
-                *self.state.committer.lock() = Some(commit_tx);
-                let state = self.state.clone();
-                std::thread::spawn(move || committer_loop(&state, &commit_rx))
-            });
+        // Group committer: the single consumer of `POST /documents`, turning
+        // concurrent requests into one WAL fsync per linger window. Every
+        // node runs one — a follower's idles until `POST /promote` makes it
+        // a primary.
+        let (commit_tx, commit_rx) = mpsc::channel::<CommitRequest>();
+        *self.state.committer.lock() = Some(commit_tx);
+        let state = self.state.clone();
+        let committer = Some(std::thread::spawn(move || {
+            committer_loop(&state, &commit_rx)
+        }));
 
         // Background flusher: periodic incremental checkpoint + WAL
         // compaction, off the committer thread so neither ever holds up an
@@ -1185,147 +1311,40 @@ fn committer_loop(state: &ServeState, rx: &mpsc::Receiver<CommitRequest>) {
     }
 }
 
-/// Commit one batch: parse every body, fsync them as a single WAL append,
-/// apply each through DRed/IVM, publish one snapshot swap, and answer every
+/// Commit one batch through [`ServeState::apply_batch`] and answer every
 /// request — 200 only after both its batch's fsync and its own apply
 /// succeeded, exactly the per-request ack semantics, amortized.
 fn commit_batch(state: &ServeState, batch: Vec<CommitRequest>) {
-    let mut dd = state.writer.lock();
-
-    // Validation failures drop out of the batch with a 400 before anything
-    // touches the log.
-    let mut parsed = Vec::with_capacity(batch.len());
-    for req in batch {
-        match parse_ingest_body(&dd, &state.derived, &req.body) {
-            Ok(changes) => parsed.push((req, changes)),
-            Err(resp) => {
-                let _ = req.reply.send(resp);
-            }
-        }
-    }
-    if parsed.is_empty() {
-        return;
-    }
-
-    // Durability first, one fsync for the whole batch. A failed append is a
-    // failed batch: nothing was applied yet, nobody is acknowledged.
-    let wal = state.wal.as_ref().expect("committer runs only with a WAL");
-    let mark = wal.lock().mark();
-    {
-        let bodies: Vec<&[u8]> = parsed.iter().map(|(req, _)| req.body.as_slice()).collect();
-        if let Err(e) = wal.lock().append_batch(&bodies) {
-            state.note_storage_error(&e, "WAL batch append");
-            let msg = format!("ingest not applied: WAL append failed: {e}");
-            for (req, _) in parsed {
-                let _ = req.reply.send(Response::error(500, &msg));
-            }
-            return;
-        }
-    }
-    state.group_commit.batches.fetch_add(1, Ordering::Relaxed);
-    state
-        .group_commit
-        .records
-        .fetch_add(parsed.len() as u64, Ordering::Relaxed);
-
-    // Apply each record on its own: one bad batch-mate must not fail its
-    // neighbors.
-    let mut applied: Vec<(CommitRequest, usize, Json, usize)> = Vec::with_capacity(parsed.len());
-    let mut failed: Vec<(CommitRequest, String)> = Vec::new();
-    let mut trace = IvmTrace::default();
-    for (req, changes) in parsed {
-        let inserted = changes.len();
-        match dd.apply_base_changes_traced(changes) {
-            Ok((delta, result)) => {
-                trace.absorb(&result);
-                let delta_json = json!({
-                    "added_variables": delta.added_variables,
-                    "removed_variables": delta.removed_variables,
-                    "added_factors": delta.added_factors,
-                    "removed_factors": delta.removed_factors,
-                    "evidence_changes": delta.evidence_changes,
-                    "total": delta.total(),
-                });
-                applied.push((req, inserted, delta_json, delta.total()));
-            }
-            Err(e) => failed.push((req, e.to_string())),
-        }
-    }
-
-    if !failed.is_empty() {
-        // The 500s promise "no durable trace": cut the whole batch off the
-        // log and re-append only the applied records, so a restart can
-        // never replay a record whose client was told it failed. The writer
-        // lock is still held, so nothing appended after the batch.
-        let rewrite = {
-            let mut wal = wal.lock();
-            wal.rollback_to(&mark).and_then(|()| {
-                let keep: Vec<&[u8]> = applied
-                    .iter()
-                    .map(|(req, ..)| req.body.as_slice())
-                    .collect();
-                wal.append_batch(&keep).map(|_| ())
-            })
-        };
-        if let Err(re) = rewrite {
-            // The log no longer matches what was applied and is poisoned
-            // until the next checkpoint flush repairs it. Nobody gets an
-            // ack: the durability half of the promise is gone for the
-            // applied records too. (Their in-memory effects surface in a
-            // later epoch — the same poison-window caveat as the
-            // single-request path, see DESIGN §13.)
-            eprintln!(
-                "deepdive serve: WARNING: could not roll failed ingests off the WAL \
-                 ({re}); log poisoned until the next checkpoint flush"
-            );
-            let msg = "ingest not applied: WAL rewrite failed after a batch-mate's apply \
-                       failure; log poisoned until the next checkpoint flush";
-            for (req, ..) in applied {
-                let _ = req.reply.send(Response::error(500, msg));
-            }
-            for (req, e) in failed {
-                let _ = req
-                    .reply
-                    .send(Response::error(500, &format!("ingest not applied: {e}")));
-            }
-            return;
-        }
-        for (req, e) in failed {
-            let _ = req
-                .reply
-                .send(Response::error(500, &format!("ingest not applied: {e}")));
-        }
-    }
-    if applied.is_empty() {
-        return;
-    }
-
-    // One bounded refresh sized by the batch's summed grounding delta, one
-    // snapshot swap, one epoch advance per applied record (epoch stays in
-    // lockstep with the WAL seq, exactly as the inline path keeps it).
-    // Subscribers see the whole batch as one delta set.
-    let changed_total: usize = applied.iter().map(|(.., total)| *total).sum();
-    let opts = bounded_options(&state.inference, &state.refresh, changed_total);
-    let (epoch, fingerprint) = state.publish_epoch(&dd, applied.len() as u64, &opts, trace);
-    let next = wal.lock().next_seq();
-    state.replication.applied_seq.store(next, Ordering::SeqCst);
-    state.replication.observe_watermark(next);
+    let bodies: Vec<&[u8]> = batch.iter().map(|req| req.body.as_slice()).collect();
+    let outcome = state.apply_batch(Origin::Client, &bodies);
     let (wal_records, wal_bytes) = state.wal_gauges();
-
-    for (req, inserted, delta_json, _) in applied {
-        let _ = req.reply.send(Response::json(
-            200,
-            &json!({
-                "epoch": epoch,
-                "fingerprint": format!("{fingerprint:016x}"),
-                "inserted": inserted,
-                "durable": true,
-                "wal_records": wal_records,
-                "wal_bytes": wal_bytes,
-                "delta": delta_json,
-                "refresh_samples": opts.samples,
-            }),
-        ));
+    for (req, record) in batch.iter().zip(outcome.records) {
+        let resp = match record {
+            Outcome::Applied { inserted, delta } => Response::json(
+                200,
+                &json!({
+                    "epoch": outcome.epoch,
+                    "fingerprint": format!("{:016x}", outcome.fingerprint),
+                    "inserted": inserted,
+                    "durable": state.wal.is_some(),
+                    "wal_records": wal_records,
+                    "wal_bytes": wal_bytes,
+                    "delta": json!({
+                        "added_variables": delta.added_variables,
+                        "removed_variables": delta.removed_variables,
+                        "added_factors": delta.added_factors,
+                        "removed_factors": delta.removed_factors,
+                        "evidence_changes": delta.evidence_changes,
+                        "total": delta.total(),
+                    }),
+                    "refresh_samples": REFRESH_SAMPLES,
+                }),
+            ),
+            Outcome::Invalid(resp) => resp,
+            Outcome::Refused(e) => Response::error(500, &format!("ingest not applied: {e}")),
+            Outcome::NotDurable(msg) => Response::error(500, &msg),
+        };
+        let _ = req.reply.send(resp);
     }
 }
 
@@ -1621,68 +1640,31 @@ fn shed(mut stream: TcpStream, state: &ServeState, why: &str) {
         .write_to(&mut stream);
 }
 
-/// Replay recovered WAL records through the same validate → DRed/IVM path a
-/// live `POST /documents` takes, then publish one snapshot swap sized by
-/// the shared [`RefreshBudget`]. Readers keep the pre-replay epoch until
-/// that swap; `/readyz` flips to 200 after it. A successful checkpoint
-/// flush then truncates the WAL.
+/// Replay recovered WAL records as one batch through the write path a live
+/// `POST /documents` takes, publishing one snapshot swap. Readers keep the
+/// pre-replay epoch until that swap; `/readyz` flips to 200 after it. A
+/// successful checkpoint flush then truncates the WAL.
 fn replay_wal(state: &ServeState, records: Vec<Vec<u8>>) {
-    let stall = state.faults.trips(points::WAL_REPLAY_STALL);
-    let mut replayed = 0u64;
-    let mut skipped = 0u64;
-    let mut changed_total = 0usize;
-    let mut trace = IvmTrace::default();
-    {
-        let mut dd = state.writer.lock();
-        for (i, record) in records.iter().enumerate() {
-            if stall {
-                // Deterministically widen the not-ready window so tests can
-                // observe readers during replay.
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            let changes = match parse_ingest_body(&dd, &state.derived, record) {
-                Ok(changes) => changes,
-                Err(resp) => {
-                    eprintln!(
-                        "deepdive serve: WARNING: WAL record {} failed validation and was \
-                         skipped: {}",
-                        i + 1,
-                        resp.body
-                    );
-                    skipped += 1;
-                    continue;
-                }
-            };
-            match dd.apply_base_changes_traced(changes) {
-                Ok((delta, result)) => {
-                    trace.absorb(&result);
-                    changed_total += delta.total();
-                    replayed += 1;
-                }
-                Err(e) => {
-                    eprintln!(
-                        "deepdive serve: WARNING: WAL record {} failed to apply and was \
-                         skipped: {e}",
-                        i + 1
-                    );
-                    skipped += 1;
-                }
-            }
-        }
-        // One bounded refresh over everything the replay re-grounded, one
-        // swap: concurrent readers see the pre-replay epoch, then this one.
-        // The epoch advances by the *applied* records only, matching the
-        // live path's one-epoch-per-successful-POST.
-        let opts = bounded_options(&state.inference, &state.refresh, changed_total);
-        state.publish_epoch(&dd, replayed, &opts, trace);
-        // Every pending record is now consumed (applied or skipped): the
-        // served state covers the whole local log.
-        if let Some(wal) = &state.wal {
-            let next = wal.lock().next_seq();
-            state.replication.applied_seq.store(next, Ordering::SeqCst);
-            state.replication.observe_watermark(next);
-        }
+    if state.faults.trips(points::WAL_REPLAY_STALL) {
+        // Deterministically widen the not-ready window so tests can observe
+        // readers during replay.
+        std::thread::sleep(Duration::from_millis(50) * records.len() as u32);
     }
+    let bodies: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+    let outcome = state.apply_batch(Origin::Replay, &bodies);
+    let mut skipped = 0u64;
+    for (i, record) in outcome.records.iter().enumerate() {
+        let why = match record {
+            Outcome::Applied { .. } => continue,
+            Outcome::Invalid(resp) => format!("failed validation and was skipped: {}", resp.body),
+            Outcome::Refused(e) | Outcome::NotDurable(e) => {
+                format!("failed to apply and was skipped: {e}")
+            }
+        };
+        eprintln!("deepdive serve: WARNING: WAL record {} {why}", i + 1);
+        skipped += 1;
+    }
+    let replayed = records.len() as u64 - skipped;
     {
         let mut stats = state.wal_stats.lock();
         stats.replayed_records = replayed;
@@ -2658,9 +2640,9 @@ fn json_to_value(cell: &Json, ty: ValueType) -> Result<DbValue, String> {
 }
 
 /// Validate one ingest body (`{"rows": {"Relation": [[cell, ...], ...]}}`)
-/// against the live schemas and convert it to base changes. Shared by the
-/// live `POST /documents` path and WAL replay — by construction, replay
-/// revalidates exactly what an ack validated.
+/// against the live schemas and convert it to base changes. Every record
+/// the write path takes passes through here — by construction, replay and
+/// followers revalidate exactly what an ack validated.
 fn parse_ingest_body(
     dd: &DeepDive,
     derived: &HashSet<String>,
@@ -2772,115 +2754,22 @@ fn post_documents(req: &Request, state: &ServeState) -> Response {
         }
     }
 
-    // Group commit: hand the body to the committer and park until this
-    // record's batch fsyncs and applies — the response carries the same
-    // promise as the inline path below, amortized over the batch. Falls
-    // through to the inline path when no committer runs (no WAL, zero
-    // linger, a follower) or the channel is already torn down by shutdown.
+    // Hand the body to the committer and park until its batch is durable
+    // and applied. The channel is gone only once shutdown has drained the
+    // workers.
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let request = CommitRequest {
+        body: req.body.clone(),
+        reply: reply_tx,
+    };
     let committer = state.committer.lock().clone();
-    if let Some(tx) = committer {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let sent = tx
-            .send(CommitRequest {
-                body: req.body.clone(),
-                reply: reply_tx,
-            })
-            .is_ok();
-        if sent {
-            return match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => Response::error(500, "ingest not applied: committer exited mid-batch"),
-            };
-        }
+    if committer.is_none_or(|tx| tx.send(request).is_err()) {
+        return Response::error(503, "draining for shutdown")
+            .with_retry_after(jittered_retry_secs(1));
     }
-
-    // Single writer: everything from validation through the WAL append to
-    // the snapshot swap happens under this lock, so concurrent POSTs
-    // serialize (and the WAL orders records exactly as they were applied)
-    // and readers keep the previous epoch until `store`.
-    let mut dd = state.writer.lock();
-
-    let changes = match parse_ingest_body(&dd, &state.derived, &req.body) {
-        Ok(changes) => changes,
-        Err(resp) => return resp,
-    };
-    let inserted = changes.len();
-
-    // Durability first: the record must be fsync'd before anything is
-    // applied or acknowledged. A failed append acknowledges nothing.
-    let wal_before = state.wal.as_ref().map(|wal| wal.lock().mark());
-    let mut appended_seq = None;
-    if let Some(wal) = &state.wal {
-        match wal.lock().append(&req.body) {
-            Ok(seq) => appended_seq = Some(seq),
-            Err(e) => {
-                state.note_storage_error(&e, "WAL append");
-                return Response::error(
-                    500,
-                    &format!("ingest not applied: WAL append failed: {e}"),
-                );
-            }
-        }
-    }
-
-    // DRed/IVM: derive exactly what the new rows imply, nothing else.
-    let (delta, ivm_result) = match dd.apply_base_changes_traced(changes) {
-        Ok(d) => d,
-        Err(e) => {
-            // The 500 promises "no durable trace", so the just-appended
-            // record must come back off the log — otherwise a restart would
-            // replay (and possibly apply) an ingest the client was told
-            // failed. The writer lock is still held, so nothing appended
-            // after our record. A failed cut poisons the log, refusing
-            // appends until a checkpoint flush truncates it.
-            if let (Some(wal), Some(mark)) = (&state.wal, wal_before) {
-                if let Err(re) = wal.lock().rollback_to(&mark) {
-                    eprintln!(
-                        "deepdive serve: WARNING: could not roll failed ingest off the WAL \
-                         ({re}); log poisoned until the next checkpoint flush"
-                    );
-                }
-            }
-            return Response::error(500, &format!("ingest not applied: {e}"));
-        }
-    };
-
-    // Bounded refresh sized to the touched region, then one atomic swap.
-    let opts = bounded_options(&state.inference, &state.refresh, delta.total());
-    let mut trace = IvmTrace::default();
-    trace.absorb(&ivm_result);
-    let (epoch, fingerprint) = state.publish_epoch(&dd, 1, &opts, trace);
-    if let Some(seq) = appended_seq {
-        // Keep the primary's replication books current so `/metrics`
-        // reports the same offsets followers resume from.
-        state
-            .replication
-            .applied_seq
-            .store(seq + 1, Ordering::SeqCst);
-        state.replication.observe_watermark(seq + 1);
-    }
-    let (wal_records, wal_bytes) = state.wal_gauges();
-
-    Response::json(
-        200,
-        &json!({
-            "epoch": epoch,
-            "fingerprint": format!("{:016x}", fingerprint),
-            "inserted": inserted,
-            "durable": state.wal.is_some(),
-            "wal_records": wal_records,
-            "wal_bytes": wal_bytes,
-            "delta": json!({
-                "added_variables": delta.added_variables,
-                "removed_variables": delta.removed_variables,
-                "added_factors": delta.added_factors,
-                "removed_factors": delta.removed_factors,
-                "evidence_changes": delta.evidence_changes,
-                "total": delta.total(),
-            }),
-            "refresh_samples": opts.samples,
-        }),
-    )
+    reply_rx
+        .recv()
+        .unwrap_or_else(|_| Response::error(500, "ingest not applied: committer exited mid-batch"))
 }
 
 /// Subscription stream cadence: a heartbeat frame goes out after this much

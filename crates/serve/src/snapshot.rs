@@ -31,6 +31,24 @@ fn fnv1a64(bytes: &[u8], mut hash: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
+/// Gibbs sweeps collected by every served capture.
+pub const REFRESH_SAMPLES: usize = 200;
+/// Burn-in sweeps discarded before [`REFRESH_SAMPLES`] are collected.
+pub const REFRESH_BURN_IN: usize = 20;
+
+/// The sampling options every served capture uses: the run's seed and
+/// evidence clamping at one fixed sweep budget. Each capture reruns Gibbs
+/// from the seed over the whole compiled graph, so with one budget the
+/// served marginals are a function of the graph alone — not of how the
+/// records that built it were grouped into epochs, replayed, or shipped.
+pub fn serving_options(inference: &GibbsOptions) -> GibbsOptions {
+    GibbsOptions {
+        samples: REFRESH_SAMPLES,
+        burn_in: REFRESH_BURN_IN,
+        ..inference.clone()
+    }
+}
+
 /// One immutable, internally consistent view the daemon serves from.
 #[derive(Debug)]
 pub struct ServeSnapshot {

@@ -37,10 +37,7 @@
 //!
 //! The manifest is authoritative for the mutable header fields (stream id,
 //! checkpoint seq); segment headers carry a snapshot for debuggability and
-//! pin the segment's first seq. A legacy single-file `ingest.wal` (v1 or
-//! v2) migrates on open: the manifest is written from its header, then the
-//! file is renamed into place as the first segment — each crash window in
-//! between recovers on the next open.
+//! pin the segment's first seq.
 //!
 //! * **stream id** names the WAL's history. A primary mints a random
 //!   nonzero id when it creates a fresh log; a follower's log starts at the
@@ -84,8 +81,6 @@ use std::sync::Arc;
 const MAGIC_V3: &[u8; 8] = b"DDWAL3\n\0";
 /// File magic for format v2 (read-compatible; term taken as 0).
 const MAGIC_V2: &[u8; 8] = b"DDWAL2\n\0";
-/// File magic of the legacy v1 format (auto-upgraded on open).
-const MAGIC_V1: &[u8; 8] = b"DDWAL1\n\0";
 /// The file format version this build writes.
 const FORMAT_VERSION: u32 = 3;
 /// The newest format version this build still reads in place.
@@ -99,8 +94,6 @@ const HEADER_LEN: u64 = 44;
 const HEADER_LEN_V2: u64 = 36;
 /// Per-frame framing overhead: version byte + u32 length + u64 checksum.
 const FRAME_HEADER_BYTES: u64 = 13;
-/// v1 framing overhead: u32 length + u64 checksum (no version byte).
-const V1_HEADER_BYTES: u64 = 12;
 /// Sanity cap on a single record's payload; anything larger means the
 /// length prefix itself is corrupt (ingest bodies are capped well below
 /// this by the HTTP layer).
@@ -114,8 +107,6 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 const MANIFEST_FILE: &str = "wal.manifest";
 /// First line of the manifest.
 const MANIFEST_HEADER: &str = "#deepdive-wal-manifest-v1";
-/// The legacy single-file log migrated into segments on open.
-const LEGACY_FILE: &str = "ingest.wal";
 
 /// Wire/disk framing shared by the WAL segments and the replication
 /// stream.
@@ -285,8 +276,6 @@ pub struct WalRecovery {
     pub good_bytes: u64,
     /// Bytes of torn tail discarded.
     pub torn_bytes: u64,
-    /// True when a legacy v1 log was upgraded on open.
-    pub upgraded_v1: bool,
     /// Checkpoint-owned records still retained for followers.
     pub retained: u64,
     /// True when `wal.manifest` was missing or corrupt and was rebuilt by
@@ -355,11 +344,10 @@ impl Wal {
         Wal::open_with(dir, faults, WalOptions::default())
     }
 
-    /// Open (creating if needed) the segmented log in `dir`: migrate a
-    /// legacy single-file `ingest.wal`, scan every segment for intact
-    /// frames, drop a torn *pending* tail in the final segment, refuse
-    /// corruption anywhere else, and position the write cursor after the
-    /// last intact frame.
+    /// Open (creating if needed) the segmented log in `dir`: scan every
+    /// segment for intact frames, drop a torn *pending* tail in the final
+    /// segment, refuse corruption anywhere else, and position the write
+    /// cursor after the last intact frame.
     pub fn open_with(
         dir: &Path,
         faults: Arc<FaultInjector>,
@@ -367,83 +355,25 @@ impl Wal {
     ) -> io::Result<(Wal, WalRecovery)> {
         std::fs::create_dir_all(dir)?;
         let manifest_path = dir.join(MANIFEST_FILE);
-        let legacy = dir.join(LEGACY_FILE);
-        let mut upgraded_v1 = false;
-        let mut v1_torn = (false, 0u64); // (torn, torn_bytes)
 
         if !manifest_path.exists() {
-            if legacy.exists() {
-                // Migrate the single-file log. Manifest first (derived from
-                // the legacy header), then rename the file into place as
-                // the first segment: a crash in between leaves the
-                // manifest + legacy file, which the branch below finishes.
-                let mut magic = [0u8; 8];
-                let mut f = File::open(&legacy)?;
-                let got = read_fully(&mut f, &mut magic)?;
-                drop(f);
-                if got == magic.len() && &magic == MAGIC_V1 {
-                    // Segment first, manifest second, legacy removal last:
-                    // a crash after the manifest write lands in the
-                    // "manifest + legacy" branch below, which must find the
-                    // migrated segment already in place.
-                    let (records, torn, torn_bytes) = read_v1(&legacy)?;
-                    let stream_id = if options.fresh_stream {
-                        random_stream_id()
-                    } else {
-                        0
-                    };
-                    write_fresh_segment(&dir.join(segment_name(0)), stream_id, 0, 0, 0, &records)?;
-                    write_manifest(dir, stream_id, 0, 0)?;
-                    std::fs::remove_file(&legacy)?;
-                    sync_dir(dir)?;
-                    upgraded_v1 = true;
-                    v1_torn = (torn, torn_bytes);
-                } else if got == magic.len() && &magic == MAGIC_V2 {
-                    let h = read_header(&legacy)?;
-                    write_manifest(dir, h.stream_id, h.checkpoint_seq, h.term)?;
-                    std::fs::rename(&legacy, dir.join(segment_name(h.first_seq)))?;
-                    sync_dir(dir)?;
+            // If segments already exist, the manifest was lost (crash
+            // mid-resync, operator damage): leave it absent and let the
+            // rebuild path below reconstruct it from the segment headers.
+            // Otherwise mint a new log.
+            let has_segments = std::fs::read_dir(dir)?.any(|e| {
+                e.ok()
+                    .map(|e| parse_segment_name(&e.file_name().to_string_lossy()).is_some())
+                    .unwrap_or(false)
+            });
+            if !has_segments {
+                let stream_id = if options.fresh_stream {
+                    random_stream_id()
                 } else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{} is not a deepdive WAL (bad magic)", legacy.display()),
-                    ));
-                }
-            } else {
-                // No legacy log. If segments already exist, the manifest
-                // was lost (crash mid-resync, operator damage): leave it
-                // absent and let the rebuild path below reconstruct it
-                // from the segment headers. Otherwise mint a new log.
-                let has_segments = std::fs::read_dir(dir)?.any(|e| {
-                    e.ok()
-                        .map(|e| parse_segment_name(&e.file_name().to_string_lossy()).is_some())
-                        .unwrap_or(false)
-                });
-                if !has_segments {
-                    let stream_id = if options.fresh_stream {
-                        random_stream_id()
-                    } else {
-                        0
-                    };
-                    write_manifest(dir, stream_id, 0, 0)?;
-                }
+                    0
+                };
+                write_manifest(dir, stream_id, 0, 0)?;
             }
-        } else if legacy.exists() {
-            // A crash interrupted a migration after the manifest write:
-            // finish it. A v2 legacy still needs its rename; a v1 legacy
-            // was already rewritten into a segment (segment-then-manifest
-            // ordering above), so only the removal is left.
-            let mut magic = [0u8; 8];
-            let mut f = File::open(&legacy)?;
-            let got = read_fully(&mut f, &mut magic)?;
-            drop(f);
-            if got == magic.len() && &magic == MAGIC_V2 {
-                let h = read_header(&legacy)?;
-                std::fs::rename(&legacy, dir.join(segment_name(h.first_seq)))?;
-            } else {
-                std::fs::remove_file(&legacy)?;
-            }
-            sync_dir(dir)?;
         }
 
         // A missing or corrupt manifest is rebuilt from the segment
@@ -479,7 +409,7 @@ impl Wal {
             // first segment): start an empty segment at the checkpoint
             // seq.
             let path = dir.join(segment_name(checkpoint_seq));
-            write_fresh_segment(&path, stream_id, checkpoint_seq, checkpoint_seq, term, &[])?;
+            write_fresh_segment(&path, stream_id, checkpoint_seq, term)?;
             seg_files.push((checkpoint_seq, path));
         }
 
@@ -489,10 +419,9 @@ impl Wal {
         let mut recovery = WalRecovery {
             records: Vec::new(),
             first_pending_seq: checkpoint_seq,
-            torn_tail: v1_torn.0,
+            torn_tail: false,
             good_bytes: 0,
-            torn_bytes: v1_torn.1,
-            upgraded_v1,
+            torn_bytes: 0,
             retained: 0,
             manifest_rebuilt,
         };
@@ -925,7 +854,7 @@ impl Wal {
         std::fs::remove_file(&old.path)?;
         write_manifest(&self.dir, stream_id, start_seq, self.term)?;
         let path = self.dir.join(segment_name(start_seq));
-        write_fresh_segment(&path, stream_id, start_seq, start_seq, self.term, &[])?;
+        write_fresh_segment(&path, stream_id, start_seq, self.term)?;
         self.file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -986,7 +915,7 @@ impl Wal {
         sync_dir(&self.dir)?;
         write_manifest(&self.dir, stream_id, start_seq, term)?;
         let path = self.dir.join(segment_name(start_seq));
-        write_fresh_segment(&path, stream_id, start_seq, start_seq, term, &[])?;
+        write_fresh_segment(&path, stream_id, start_seq, term)?;
         self.file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -1476,23 +1405,13 @@ fn rebuild_manifest(dir: &Path, options: &WalOptions) -> io::Result<(u64, u64, u
     ))
 }
 
-/// Write a fresh segment (atomically, via temp + rename) holding `records`
-/// as its frames.
-fn write_fresh_segment(
-    path: &Path,
-    stream_id: u64,
-    first_seq: u64,
-    checkpoint_seq: u64,
-    term: u64,
-    records: &[Vec<u8>],
-) -> io::Result<()> {
+/// Write an empty segment (atomically, via temp + rename) whose first seq
+/// is also its checkpoint seq.
+fn write_fresh_segment(path: &Path, stream_id: u64, seq: u64, term: u64) -> io::Result<()> {
     let tmp = path.with_extension("wal.tmp");
     {
         let mut out = File::create(&tmp)?;
-        out.write_all(&header_bytes(stream_id, first_seq, checkpoint_seq, term))?;
-        for r in records {
-            out.write_all(&frame::encode(r))?;
-        }
+        out.write_all(&header_bytes(stream_id, seq, seq, term))?;
         out.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -1593,44 +1512,6 @@ fn read_disk_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Read a legacy v1 log: magic `DDWAL1\n\0`, then unversioned
-/// `[u32 len][u64 cksum][payload]` records. Returns the intact records and
-/// whether (and how much) torn tail was dropped.
-fn read_v1(path: &Path) -> io::Result<(Vec<Vec<u8>>, bool, u64)> {
-    let mut f = File::open(path)?;
-    let total = f.metadata()?.len();
-    f.seek(SeekFrom::Start(8))?;
-    let mut records = Vec::new();
-    let mut offset = 8u64;
-    let mut torn = false;
-    loop {
-        let mut header = [0u8; V1_HEADER_BYTES as usize];
-        let got = read_fully(&mut f, &mut header)?;
-        if got == 0 {
-            break;
-        }
-        if got < header.len() {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let checksum = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        if len > MAX_RECORD_BYTES {
-            torn = true;
-            break;
-        }
-        let mut payload = vec![0u8; len as usize];
-        let got = read_fully(&mut f, &mut payload)?;
-        if got < payload.len() || fnv1a64(&payload) != checksum {
-            torn = true;
-            break;
-        }
-        offset += V1_HEADER_BYTES + payload.len() as u64;
-        records.push(payload);
-    }
-    Ok((records, torn, total.saturating_sub(offset)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1707,7 +1588,6 @@ mod tests {
         }
         let (wal, rec) = Wal::open(&dir, injector()).unwrap();
         assert!(!rec.torn_tail);
-        assert!(!rec.upgraded_v1);
         assert_eq!(rec.records, payloads);
         assert_eq!(rec.first_pending_seq, 0);
         assert_eq!(wal.records(), payloads.len() as u64);
@@ -2072,45 +1952,6 @@ mod tests {
     }
 
     #[test]
-    fn single_file_v2_log_migrates_to_segments() {
-        let dir = tmpdir("migrate-v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Hand-write a single-file v2 log: header + two frames, one
-        // checkpointed.
-        let mut bytes = header_bytes_v2(0xFEED, 0, 1).to_vec();
-        bytes.extend_from_slice(&frame::encode(b"checkpointed"));
-        bytes.extend_from_slice(&frame::encode(b"pending"));
-        std::fs::write(dir.join(LEGACY_FILE), &bytes).unwrap();
-
-        let (wal, rec) = Wal::open(&dir, injector()).unwrap();
-        assert_eq!(wal.stream_id(), 0xFEED, "stream id carried over");
-        assert_eq!(wal.checkpoint_seq(), 1);
-        assert_eq!(rec.records, vec![b"pending".to_vec()]);
-        assert_eq!(rec.retained, 1);
-        assert!(!dir.join(LEGACY_FILE).exists(), "legacy file renamed away");
-        assert_eq!(segment_count(&dir), 1);
-        drop(wal);
-        let (wal, _) = Wal::open(&dir, injector()).unwrap();
-        assert_eq!(wal.stream_id(), 0xFEED);
-    }
-
-    #[test]
-    fn interrupted_migration_completes_on_reopen() {
-        let dir = tmpdir("migrate-crash");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = header_bytes_v2(0xFEED, 0, 0).to_vec();
-        bytes.extend_from_slice(&frame::encode(b"survives"));
-        std::fs::write(dir.join(LEGACY_FILE), &bytes).unwrap();
-        // The crash window: manifest written, rename not yet done.
-        write_manifest(&dir, 0xFEED, 0, 0).unwrap();
-
-        let (wal, rec) = Wal::open(&dir, injector()).unwrap();
-        assert_eq!(rec.records, vec![b"survives".to_vec()]);
-        assert_eq!(wal.stream_id(), 0xFEED);
-        assert!(!dir.join(LEGACY_FILE).exists());
-    }
-
-    #[test]
     fn read_frames_honors_max_bytes_but_returns_at_least_one() {
         let dir = tmpdir("window");
         let (mut wal, _) = Wal::open(&dir, injector()).unwrap();
@@ -2132,48 +1973,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_log_upgrades_to_segments() {
-        let dir = tmpdir("v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        for payload in [b"legacy one".as_slice(), b"legacy two".as_slice()] {
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
-        }
-        // Torn v1 tail: half a header.
-        bytes.extend_from_slice(&[0x05, 0x00]);
-        std::fs::write(dir.join(LEGACY_FILE), &bytes).unwrap();
-
-        let (wal, rec) = Wal::open(&dir, injector()).unwrap();
-        assert!(rec.upgraded_v1);
-        assert!(rec.torn_tail, "the v1 tear is reported");
-        assert_eq!(
-            rec.records,
-            vec![b"legacy one".to_vec(), b"legacy two".to_vec()],
-            "v1 records come back pending"
-        );
-        assert_eq!(rec.first_pending_seq, 0);
-        assert_ne!(wal.stream_id(), 0);
-        drop(wal);
-
-        // The log on disk is now segmented v3.
-        assert!(!dir.join(LEGACY_FILE).exists());
-        let on_disk = std::fs::read(active_segment(&dir)).unwrap();
-        assert_eq!(&on_disk[0..8], MAGIC_V3);
-        let (_, rec) = Wal::open(&dir, injector()).unwrap();
-        assert!(!rec.upgraded_v1);
-        assert_eq!(rec.records.len(), 2);
-    }
-
-    #[test]
     fn future_format_version_fails_with_a_clear_error() {
         let dir = tmpdir("future-format");
         std::fs::create_dir_all(&dir).unwrap();
         let mut header = header_bytes_v2(42, 0, 0);
         header[8..12].copy_from_slice(&4u32.to_le_bytes());
-        std::fs::write(dir.join(LEGACY_FILE), header).unwrap();
+        std::fs::write(dir.join(segment_name(0)), header).unwrap();
 
         let err = Wal::open(&dir, injector()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -2211,7 +2016,7 @@ mod tests {
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
-        std::fs::write(dir.join(LEGACY_FILE), &bytes).unwrap();
+        std::fs::write(dir.join(segment_name(0)), &bytes).unwrap();
 
         let err = Wal::open(&dir, injector()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -2375,7 +2180,7 @@ mod tests {
     fn non_wal_file_is_refused() {
         let dir = tmpdir("magic");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(LEGACY_FILE), b"definitely not a WAL file").unwrap();
+        std::fs::write(dir.join(segment_name(0)), b"definitely not a WAL file").unwrap();
         assert!(Wal::open(&dir, injector()).is_err());
 
         // A junk manifest is *not* refused: with no segments to contradict

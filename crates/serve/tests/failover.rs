@@ -18,11 +18,11 @@ use deepdive_sampler::{GibbsOptions, LearnOptions};
 use deepdive_serve::{ServeConfig, Server, ServerHandle};
 use deepdive_storage::{BaseChange, Value};
 use serde_json::{json, Value as Json};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn tiny_config() -> SpouseAppConfig {
@@ -164,53 +164,15 @@ fn ingest_body(changes: &[BaseChange]) -> Json {
     json!({ "rows": Json::Object(rows) })
 }
 
-/// Canonical form of a relation as served: the set of JSON row renderings.
-/// Set-based, because checkpoint-restored state serves the same rows but
-/// not necessarily in the same page order as live-grown state.
-fn served_relation(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/relations/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /relations/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| serde_json::to_string(row).unwrap())
-        .collect()
-}
-
-/// Marginal rows with the probability stripped: the variables a node
-/// serves marginals for. Probabilities are refresh-schedule-dependent
-/// after a checkpoint restore, so recovery tests compare rows, not bits
-/// (the same convention as the replication suite).
-fn marginal_rows(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/marginals/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /marginals/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| {
-            let mut obj = row.as_object().expect("row object").clone();
-            obj.remove("probability");
-            serde_json::to_string(&Json::Object(obj)).unwrap()
-        })
-        .collect()
-}
-
-/// Assert two nodes serve the same derived relations and the same marginal
-/// variable sets — the recovery-grade convergence check.
+/// Assert two nodes serve the same state: equal `/healthz` fingerprints,
+/// which cover every relation row and every marginal's bits. Epochs are
+/// not compared — a restart or a resync re-bases the epoch counter.
 fn assert_state_parity(a: SocketAddr, b: SocketAddr, context: &str) {
-    for relation in ["MarriedCandidate", "MarriedMentions_Ev"] {
-        assert_eq!(
-            served_relation(a, relation),
-            served_relation(b, relation),
-            "{context}: relation {relation} diverged"
-        );
-    }
+    let (_, a_health) = get(a, "/healthz");
+    let (_, b_health) = get(b, "/healthz");
     assert_eq!(
-        marginal_rows(a, "MarriedMentions"),
-        marginal_rows(b, "MarriedMentions"),
-        "{context}: marginal variable sets diverged"
+        a_health["fingerprint"], b_health["fingerprint"],
+        "{context}: served state diverged ({a_health} vs {b_health})"
     );
 }
 
@@ -405,8 +367,8 @@ fn promote_after_primary_crash_and_rejoin_converges_bit_identical() {
     wait_ready(r_addr);
     wait_epoch(r_addr, 2);
 
-    // Convergence: same epoch, same offset, same derived rows and marginal
-    // variables — and the rejoined node adopted the new primary's term.
+    // Convergence: same epoch, same offset, same fingerprint — and the
+    // rejoined node adopted the new primary's term.
     let (_, new_health) = get(f_addr, "/healthz");
     let (_, old_health) = get(r_addr, "/healthz");
     assert_eq!(new_health["epoch"], old_health["epoch"], "epoch parity");
@@ -427,6 +389,64 @@ fn promote_after_primary_crash_and_rejoin_converges_bit_identical() {
         .follower
         .graceful_shutdown()
         .expect("drain new primary");
+}
+
+/// A promoted follower takes writes through the same group committer as
+/// any primary: concurrent posts after `POST /promote` share WAL fsyncs.
+#[test]
+fn promoted_follower_group_commits_concurrent_writes() {
+    const POSTS: usize = 4;
+    let config = tiny_config();
+    let corpus = deepdive_corpus::spouse::generate(&config.corpus);
+    let pair = spawn_pair(
+        "promote-gc",
+        &config,
+        &corpus,
+        POSTS,
+        |_| {},
+        |cfg| {
+            cfg.workers = 2 * POSTS;
+            cfg.linger = Duration::from_millis(100);
+        },
+    );
+    let f_addr = pair.follower.addr();
+    wait_ready(f_addr);
+    pair.primary.abort();
+    let (status, v) = http(f_addr, "POST", "/promote", None);
+    assert_eq!(status, 200, "POST /promote: {v}");
+
+    let barrier = Arc::new(Barrier::new(POSTS));
+    let clients: Vec<_> = pair
+        .held_out
+        .iter()
+        .cloned()
+        .map(|body| {
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                barrier.wait();
+                let (status, v) = http(f_addr, "POST", "/documents", Some(&body));
+                assert_eq!(status, 200, "POST on the promoted node: {v}");
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    let (_, m) = get(f_addr, "/metrics");
+    let gc = &m["wal"]["group_commit"];
+    assert!(
+        gc["batches"].as_u64().unwrap_or(0) > 0,
+        "group commit ran: {gc}"
+    );
+    assert!(
+        gc["avg_batch"].as_f64().unwrap_or(0.0) > 1.0,
+        "concurrent posts shared fsyncs: {gc}"
+    );
+
+    let _ = pair
+        .follower
+        .graceful_shutdown()
+        .expect("drain promoted node");
 }
 
 /// Fencing: after a promotion the deposed primary is still alive and still
@@ -557,9 +577,8 @@ fn follower_resyncs_from_checkpoint_bundle_after_410() {
     wait_ready(f_addr2);
 
     // The resynced follower holds the primary's exact state: equal offset
-    // and identical served rows (epochs differ — the resync re-based its
-    // epoch counter — and marginal bits differ after a checkpoint restore,
-    // so convergence is asserted set-wise).
+    // and an equal fingerprint (epochs differ — the resync re-based its
+    // epoch counter).
     let p_off = replication_metrics(p_addr);
     wait_for("offset parity after resync", || {
         replication_metrics(f_addr2)["wal_offset"] == p_off["wal_offset"]

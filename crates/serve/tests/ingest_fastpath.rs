@@ -527,8 +527,7 @@ fn follower_converges_bit_identically_across_rotation_and_compaction() {
     let f_addr = follower.addr();
     wait_ready(f_addr);
 
-    // Sequential ingests: one WAL record per epoch on both sides keeps
-    // the refresh budgets — and therefore the fingerprints — identical.
+    // One record per POST; with 256-byte segments each seals a segment.
     for body in &bodies {
         let (status, v) = http(p_addr, "POST", "/documents", Some(body));
         assert_eq!(status, 200, "primary ingest: {v}");

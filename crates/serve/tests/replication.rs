@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn app_config() -> SpouseAppConfig {
@@ -67,6 +67,12 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, Json) {
+    let (status, payload) = http_raw(addr, method, path, body);
+    (status, serde_json::from_str(&payload).unwrap_or(Json::Null))
+}
+
+/// One request; the status and the response body exactly as sent.
+fn http_raw(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to daemon");
     let body_text = body
         .map(|b| serde_json::to_string(b).expect("serializable body"))
@@ -87,8 +93,7 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16
         .parse()
         .expect("numeric status");
     let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    let value = serde_json::from_str(payload).unwrap_or(Json::Null);
-    (status, value)
+    (status, payload.to_string())
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
@@ -172,23 +177,6 @@ fn served_relation(addr: SocketAddr, name: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// Marginal rows with the probability stripped: the set of variables the
-/// node serves marginals for, comparable across refresh schedules.
-fn marginal_rows(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/marginals/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /marginals/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| {
-            let mut obj = row.as_object().expect("row object").clone();
-            obj.remove("probability");
-            serde_json::to_string(&Json::Object(obj)).unwrap()
-        })
-        .collect()
-}
-
 fn read_report(wal_dir: &std::path::Path) -> Json {
     let text = std::fs::read_to_string(wal_dir.join("report.json")).expect("report.json exists");
     serde_json::from_str(&text).expect("report.json parses")
@@ -233,6 +221,28 @@ fn spawn_pair(
     max_lag_epochs: u64,
     primary_faults: Arc<FaultInjector>,
     follower_faults: Arc<FaultInjector>,
+) -> Pair {
+    let primary = ServeConfig {
+        faults: primary_faults,
+        ..Default::default()
+    };
+    let follower = ServeConfig {
+        max_lag_epochs,
+        faults: follower_faults,
+        ..Default::default()
+    };
+    spawn_pair_with(tag, config, corpus, hold_out, primary, follower)
+}
+
+/// [`spawn_pair`] over caller-tuned configs; the address, directories and
+/// `follow` target are filled in here.
+fn spawn_pair_with(
+    tag: &str,
+    config: &SpouseAppConfig,
+    corpus: &SpouseCorpus,
+    hold_out: usize,
+    primary_base: ServeConfig,
+    follower_base: ServeConfig,
 ) -> Pair {
     let mut partial = corpus.clone();
     let mut held_docs = Vec::new();
@@ -281,8 +291,7 @@ fn spawn_pair(
         page_limit: 100_000,
         wal_dir: Some(p_wal.clone()),
         checkpoint_dir: Some(p_ckpt.clone()),
-        faults: primary_faults,
-        ..Default::default()
+        ..primary_base
     };
     let primary = Server::new(primary_app.dd, &primary_cfg)
         .expect("bind primary")
@@ -296,9 +305,7 @@ fn spawn_pair(
         wal_dir: Some(f_wal.clone()),
         checkpoint_dir: Some(f_ckpt.clone()),
         follow: Some(format!("http://{p_addr}")),
-        max_lag_epochs,
-        faults: follower_faults,
-        ..Default::default()
+        ..follower_base
     };
     let follower = Server::new(follower_app.dd, &follower_cfg)
         .expect("bind follower")
@@ -495,13 +502,12 @@ fn primary_crash_mid_stream_follower_reconnects_to_batch_parity() {
             "follower relation {relation} diverged from the clean batch run"
         );
     }
-    // Marginal parity: the follower serves marginals for exactly the
-    // variables the restarted primary does (probabilities come from
-    // different refresh schedules post-crash, so rows, not bits).
+    // Bit parity with the restarted primary: served state is a function
+    // of checkpoint + log, however each side grouped the records.
     assert_eq!(
-        marginal_rows(f_addr, "MarriedMentions"),
-        marginal_rows(p_addr, "MarriedMentions"),
-        "marginal variable sets diverged"
+        epoch_and_fingerprint(f_addr),
+        epoch_and_fingerprint(p_addr),
+        "follower and restarted primary diverged"
     );
 
     let _ = pair.follower.graceful_shutdown().expect("drain follower");
@@ -732,4 +738,232 @@ fn lagging_follower_fails_readyz_until_caught_up() {
 
     let _ = pair.follower.graceful_shutdown().expect("drain follower");
     let _ = pair.primary.graceful_shutdown().expect("drain primary");
+}
+
+/// A node's `/healthz` `(epoch, fingerprint)`.
+fn epoch_and_fingerprint(addr: SocketAddr) -> (u64, String) {
+    let (status, v) = get(addr, "/healthz");
+    assert_eq!(status, 200, "GET /healthz: {v}");
+    (
+        v["epoch"].as_u64().expect("epoch"),
+        v["fingerprint"].as_str().expect("fingerprint").to_string(),
+    )
+}
+
+/// The pending records of a live node's WAL, in log order — read from a
+/// copy, because opening a log may repair it.
+fn logged_records(wal_dir: &std::path::Path, tag: &str) -> Vec<Json> {
+    let copy = tmpdir(tag);
+    for entry in std::fs::read_dir(wal_dir).expect("list wal dir") {
+        let entry = entry.expect("wal dir entry");
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).expect("copy wal file");
+    }
+    let (_, recovery) = Wal::open(&copy, Arc::new(FaultInjector::new())).expect("open wal copy");
+    recovery
+        .records
+        .iter()
+        .map(|r| serde_json::from_str(std::str::from_utf8(r).expect("UTF-8")).expect("JSON"))
+        .collect()
+}
+
+/// A node's pipeline state over `partial`, built and run from scratch.
+fn base_app(config: &SpouseAppConfig, partial: &SpouseCorpus) -> SpouseApp {
+    let mut app = SpouseApp::build_with_corpus(config.clone(), partial.clone()).expect("app");
+    app.run().expect("base run");
+    app
+}
+
+/// Served state is a function of the applied log, not of how its records
+/// were grouped into epochs. A primary that group-commits six concurrent
+/// ingests into one epoch and the follower tailing it serve the same bits,
+/// and the follower's scrubber finds nothing to flag. The same six records
+/// delivered one at a time, fetched as one chunk by a late follower, or
+/// replayed from the WAL onto a freshly built base after a crash reach the
+/// same fingerprint — and so does a restart from the primary's flushed
+/// checkpoint at the same WAL offset.
+#[test]
+fn served_state_is_independent_of_batching_replay_and_restore() {
+    const DOCS: usize = 6;
+    const MARGINALS: &str = "/marginals/MarriedMentions?limit=100000";
+    let config = tiny_config();
+    let corpus = deepdive_corpus::spouse::generate(&config.corpus);
+    let pair = spawn_pair_with(
+        "batched",
+        &config,
+        &corpus,
+        DOCS,
+        ServeConfig {
+            // Every concurrent POST parks on the committer at once, and the
+            // linger window is wide enough to gather all of them.
+            workers: 2 * DOCS,
+            linger: Duration::from_millis(100),
+            // Keep every record pending in the WAL until the test flushes.
+            flush_interval: Duration::ZERO,
+            ..Default::default()
+        },
+        ServeConfig {
+            scrub_interval: Duration::from_millis(50),
+            ..Default::default()
+        },
+    );
+    let (p_addr, f_addr) = (pair.primary.addr(), pair.follower.addr());
+    wait_ready(f_addr);
+
+    let barrier = Arc::new(Barrier::new(DOCS));
+    let clients: Vec<_> = pair
+        .held_out
+        .iter()
+        .cloned()
+        .map(|body| {
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                barrier.wait();
+                let (status, v) = http(p_addr, "POST", "/documents", Some(&body));
+                assert_eq!(status, 200, "concurrent POST on primary: {v}");
+                v["epoch"].as_u64().expect("ack epoch")
+            })
+        })
+        .collect();
+    let ack_epochs: BTreeSet<u64> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+    let epoch = DOCS as u64;
+    assert_eq!(
+        ack_epochs,
+        BTreeSet::from([epoch]),
+        "all six acks share one epoch: one group-committed batch"
+    );
+
+    // The follower: same epoch, same fingerprint, byte-identical marginals,
+    // and scrub passes that ran after it caught up found no divergence.
+    wait_epoch(f_addr, epoch);
+    let scrub_runs = || {
+        get(f_addr, "/metrics").1["scrub"]["runs"]
+            .as_u64()
+            .unwrap_or(0)
+    };
+    let target = scrub_runs() + 2;
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while scrub_runs() < target {
+        assert!(Instant::now() < deadline, "scrubber never ran");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let batched = epoch_and_fingerprint(p_addr);
+    assert_eq!(batched.0, epoch);
+    assert_eq!(
+        epoch_and_fingerprint(f_addr),
+        batched,
+        "follower epoch + fingerprint parity"
+    );
+    let (p_status, p_marginals) = http_raw(p_addr, "GET", MARGINALS, None);
+    let (f_status, f_marginals) = http_raw(f_addr, "GET", MARGINALS, None);
+    assert_eq!((p_status, f_status), (200, 200), "marginals served");
+    assert_eq!(p_marginals, f_marginals, "marginals are byte-identical");
+    let (_, f_metrics) = get(f_addr, "/metrics");
+    assert_eq!(
+        f_metrics["scrub"]["corrupt_found"].as_u64(),
+        Some(0),
+        "{f_metrics}"
+    );
+    assert_eq!(f_metrics["replication"]["diverged"], json!(false));
+
+    // A late follower fetches all six records as one chunk.
+    let late_ckpt = tmpdir("batched-late-ckpt");
+    let late_app = base_app(&config, &pair.partial);
+    late_app
+        .dd
+        .save_checkpoint(&Checkpoint::new(late_ckpt.clone()).expect("checkpoint"))
+        .expect("save late follower checkpoint");
+    let late = Server::new(
+        late_app.dd,
+        &ServeConfig {
+            wal_dir: Some(tmpdir("batched-late-wal")),
+            checkpoint_dir: Some(late_ckpt),
+            ..pair.follower_cfg.clone()
+        },
+    )
+    .expect("bind late follower")
+    .start()
+    .expect("start late follower");
+    wait_epoch(late.addr(), epoch);
+    assert_eq!(
+        epoch_and_fingerprint(late.addr()),
+        batched,
+        "one-chunk catch-up"
+    );
+
+    // One record at a time on a fresh primary — in the order the batch
+    // logged them, which is the order that defines the state — then a crash
+    // and a replay of its WAL onto a freshly built base.
+    let log = logged_records(&pair.p_wal, "batched-log");
+    assert_eq!(log.len(), DOCS, "the batch logged every record");
+    let seq_cfg = ServeConfig {
+        wal_dir: Some(tmpdir("batched-seq-wal")),
+        flush_interval: Duration::ZERO,
+        ..Default::default()
+    };
+    let sequential = Server::new(base_app(&config, &pair.partial).dd, &seq_cfg)
+        .expect("bind sequential primary")
+        .start()
+        .expect("start sequential primary");
+    for (i, body) in log.iter().enumerate() {
+        let (status, v) = http(sequential.addr(), "POST", "/documents", Some(body));
+        assert_eq!(status, 200, "sequential POST: {v}");
+        assert_eq!(
+            v["epoch"].as_u64(),
+            Some(i as u64 + 1),
+            "one record per epoch"
+        );
+    }
+    assert_eq!(
+        epoch_and_fingerprint(sequential.addr()),
+        batched,
+        "sequential ingest"
+    );
+    sequential.abort();
+    let server = Server::new(base_app(&config, &pair.partial).dd, &seq_cfg).expect("rebind");
+    assert_eq!(server.pending_replay(), DOCS, "every record replays");
+    let replayed = server.start().expect("restart");
+    wait_ready(replayed.addr());
+    assert_eq!(
+        epoch_and_fingerprint(replayed.addr()),
+        batched,
+        "WAL replay onto a fresh base"
+    );
+    replayed.abort();
+
+    // Restore: flush the primary's checkpoint, restart from it, and compare
+    // at the same WAL offset.
+    late.abort();
+    let _ = pair.follower.graceful_shutdown().expect("drain follower");
+    let summary = pair.primary.graceful_shutdown().expect("drain primary");
+    assert!(summary.checkpoint_flushed, "final checkpoint flushed");
+    let mut app =
+        SpouseApp::build_with_corpus(config.clone(), pair.partial.clone()).expect("restore app");
+    app.dd
+        .load_checkpoint(&Checkpoint::new(pair.p_ckpt.clone()).expect("checkpoint"))
+        .expect("restore primary checkpoint");
+    let restored = Server::new(
+        app.dd,
+        &ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..pair.primary_cfg.clone()
+        },
+    )
+    .expect("bind restored primary")
+    .start()
+    .expect("start restored primary");
+    let (_, health) = get(restored.addr(), "/healthz");
+    assert_eq!(
+        health["wal_offset"],
+        json!(epoch),
+        "same WAL offset: {health}"
+    );
+    assert_eq!(
+        health["fingerprint"].as_str(),
+        Some(batched.1.as_str()),
+        "checkpoint restore"
+    );
+    restored.abort();
 }
